@@ -44,9 +44,13 @@ compare() {
     rm -f "$current" "$current.strip" "$canonical.strip"
 }
 
-compare policy_sweep benches/canonical/BENCH_serving.json
-compare disaggregated benches/canonical/BENCH_disaggregated.json
-compare agentic_workflows benches/canonical/BENCH_workflows.json
-compare traffic_shapes benches/canonical/BENCH_traffic.json
+# One <example>:<canonical-json> pair per gated benchmark.
+for pair in \
+    policy_sweep:benches/canonical/BENCH_serving.json \
+    disaggregated:benches/canonical/BENCH_disaggregated.json \
+    agentic_workflows:benches/canonical/BENCH_workflows.json \
+    traffic_shapes:benches/canonical/BENCH_traffic.json; do
+    compare "${pair%%:*}" "${pair#*:}"
+done
 
 exit "$fail"

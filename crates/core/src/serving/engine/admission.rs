@@ -66,7 +66,7 @@ impl super::ServingSim {
         // changes. LeastLoaded/SEJ keep the scan — their keys change
         // for replicas that were *not* dispatched.
         let mut fcfs_heap: std::collections::BinaryHeap<std::cmp::Reverse<(TimeKey, usize)>> =
-            match self.dispatch {
+            match self.options.dispatch {
                 DispatchPolicy::FcfsSingleQueue => (0..n)
                     .map(|i| std::cmp::Reverse((TimeKey(0.0), i)))
                     .collect(),
@@ -90,7 +90,7 @@ impl super::ServingSim {
                 }
             }
 
-            let replica = match self.dispatch {
+            let replica = match self.options.dispatch {
                 DispatchPolicy::FcfsSingleQueue => {
                     let std::cmp::Reverse((TimeKey(t), i)) =
                         fcfs_heap.pop().expect("one entry per replica");
@@ -120,7 +120,7 @@ impl super::ServingSim {
             let start = now.max(free[replica]);
             let finish = start + s;
             free[replica] = finish;
-            if self.dispatch == DispatchPolicy::FcfsSingleQueue {
+            if self.options.dispatch == DispatchPolicy::FcfsSingleQueue {
                 fcfs_heap.push(std::cmp::Reverse((TimeKey(finish), replica)));
             }
             outstanding[replica].push_back(finish);

@@ -138,14 +138,15 @@ impl ServingSim {
         preempt: bool,
     ) -> RunStats {
         let chunk_size = prefill_chunk.unwrap_or(u64::MAX);
-        let overlap = self.overlap_dma;
+        let overlap = self.options.overlap_dma;
         let n = self.replicas.len();
         // Effective per-replica host KV pool (`None` = unbounded).
         let pools: Vec<Option<u64>> = self
             .replicas
             .iter()
             .map(|r| {
-                self.host_kv_override
+                self.options
+                    .host_kv_pool
                     .unwrap_or_else(|| r.backend.host_kv_bytes())
             })
             .collect();
@@ -181,21 +182,22 @@ impl ServingSim {
             .enumerate()
             .map(|(i, c)| (c.prefix_tokens > 0).then(|| prefix_key(i, c.prefix_tokens)))
             .collect();
-        let paged = build_paged_pools(&self.replicas, self.kv_block, model, &mix);
+        let paged = build_paged_pools(&self.replicas, self.options.kv_block, model, &mix);
         // Per-replica DMA channel clocks. Disaggregated clusters always
         // run split H2D/D2H lanes (migration traffic must not reorder
         // against swap traffic on one clock); all-`Unified` clusters
         // share one clock per replica unless `two_channel_dma` forces
         // the split — the unsplit arithmetic is bit-identical to the
         // historical single `dma_free` scalar.
-        let split_dma = self.two_channel || self.roles.iter().any(|&ro| ro != ReplicaRole::Unified);
+        let split_dma =
+            self.options.two_channel_dma || self.roles.iter().any(|&ro| ro != ReplicaRole::Unified);
         // Decode pool for prefill→decode migrations (empty outside
         // disaggregated runs — prefill replicas then decode locally).
         let decode_pool: Vec<usize> = (0..n)
             .filter(|&i| self.roles[i] == ReplicaRole::DecodeOnly)
             .collect();
         let stats = RunStats::new(n, mix.len(), total, self.cfg.arrivals.tenant_count());
-        let event_core = self.core_mode == CoreMode::EventDriven;
+        let event_core = self.options.core_mode == CoreMode::EventDriven;
         let mut turns = TurnIndex {
             busy_q: SlotQueue::new(n),
             idle_ready: BTreeSet::new(),
@@ -213,7 +215,7 @@ impl ServingSim {
         // Divergence guard (off unless a bound is configured or this
         // run is a rate probe): abort once the arrived-but-unadmitted
         // backlog exceeds the bound.
-        let divergence_bound: Option<u64> = match self.divergence {
+        let divergence_bound: Option<u64> = match self.options.divergence_depth {
             Some(depth) => depth,
             None => self
                 .probe_divergence
@@ -223,8 +225,8 @@ impl ServingSim {
             model,
             replicas: &mut self.replicas,
             roles: &self.roles,
-            scheduler: &self.scheduler,
-            migration: &*self.migration,
+            scheduler: &self.options.policy,
+            migration: &*self.options.migration,
             mix,
             max_batch,
             chunk_size,
@@ -264,7 +266,7 @@ impl ServingSim {
                 ctx: wf_ctx,
                 runs: wf_runs,
                 key_homes: HashMap::new(),
-                inheritance: self.workflow_inheritance,
+                inheritance: self.options.workflow_inheritance,
                 mode: wf_mode,
             },
             turns,

@@ -17,7 +17,8 @@
 //! | `core`        | `EngineCore`       | layer composition + the turn loop           |
 //!
 //! This module keeps the public facade: [`ServingSim`] (builders, `run`,
-//! the rate sweeps) and [`CoreMode`]. Behavior is bit-identical to the
+//! the rate sweeps), its knobs as one [`EngineOptions`] value, and
+//! [`CoreMode`]. Behavior is bit-identical to the
 //! pre-split monolith on both cores.
 
 mod admission;
@@ -78,6 +79,112 @@ impl Ord for TimeKey {
     }
 }
 
+/// Every engine knob of a [`ServingSim`], as one value. The
+/// [`Default`] is what [`ServingSim::new`] starts from; warm engines
+/// change a knob in place by writing its field
+/// (`sim.options.scheduling = s`), keeping replicas and their memos.
+#[derive(Clone)]
+pub struct EngineOptions {
+    /// Request-level dispatch policy
+    /// ([`DispatchPolicy::FcfsSingleQueue`] by default).
+    pub dispatch: DispatchPolicy,
+    /// Scheduling granularity ([`Scheduling::RequestLevel`] by default).
+    pub scheduling: Scheduling,
+    /// The iteration-level [`SchedulerPolicy`] bundle; request-level
+    /// routing stays with [`dispatch`](Self::dispatch). The default
+    /// bundle reproduces the historical hard-wired scheduler
+    /// bit-identically, and the device costs do not depend on it, so
+    /// sweeping it on one warm engine re-prices nothing.
+    pub policy: SchedulerPolicy,
+    /// Host-side KV swap pool override: `None` (the default) defers to
+    /// each replica's [`Backend::host_kv_bytes`]; `Some(None)` forces an
+    /// unbounded pool; `Some(Some(b))` forces a `b`-byte pool on every
+    /// replica. The pool bounds how much swapped KV can live host-side
+    /// at once; a swap-out that would overflow it falls back to
+    /// recompute-based eviction.
+    pub host_kv_pool: Option<Option<u64>>,
+    /// **Overlapped swap DMA**: each replica gets a DMA-channel clock,
+    /// swap transfers run on it concurrently with compute, and the batch
+    /// only stalls when it actually needs the data or the memory — a
+    /// swap-out frees device KV at DMA *completion* (the iteration waits
+    /// if it needs those bytes sooner) and a swap-in's completion gates
+    /// the sequence's re-entry into the batch while decode continues
+    /// around it. Off by default: transfers serialize with compute on
+    /// the replica clock, the historical behavior.
+    pub overlap_dma: bool,
+    /// Iteration-level **paged-KV** block size in tokens (0, the
+    /// default, keeps the legacy contiguous accounting, bit-identically).
+    /// Each replica's block budget comes from its backend's
+    /// [`Backend::kv_budget_bytes`]; a backend that reports no budget
+    /// stays contiguous. Paged mode gates admission and pressure on free
+    /// *blocks*, shares full-block prompt prefixes copy-on-write across
+    /// requests of the same class (a
+    /// [`RequestClass::prefix_tokens`](super::RequestClass) above 0 opts
+    /// the class in), and moves only a sequence's *unshared* tokens on
+    /// swap or recompute.
+    pub kv_block: u64,
+    /// Which iteration-level core advances the loop. The default
+    /// [`CoreMode::EventDriven`] and the reference
+    /// [`CoreMode::StepScan`] produce bit-identical reports; the knob
+    /// exists for differential testing and benchmarking the cores
+    /// against each other.
+    pub core_mode: CoreMode,
+    /// **Divergence guard** override: `Some(Some(d))` aborts an
+    /// iteration-level run once more than `d` arrived requests are
+    /// waiting unadmitted — the run is hopelessly overloaded, and its
+    /// report comes back with [`ServingReport::diverged`] set (never
+    /// [`stable`](ServingReport::stable)) covering only the simulated
+    /// prefix. `Some(None)` disables the guard everywhere, including
+    /// inside rate probes.
+    ///
+    /// With `None` (the default), the guard is off in direct
+    /// [`run`](ServingSim::run)s (every configured request completes)
+    /// and an automatic bound — generous enough that any run it stops
+    /// would have failed the stability predicate anyway — protects
+    /// [`sustainable_rate_where`](ServingSim::sustainable_rate_where)
+    /// probes from simulating the full horizon of a diverged queue.
+    pub divergence_depth: Option<Option<u64>>,
+    /// Destination choice for prefill→decode KV migrations
+    /// ([`LeastLoadedMigration`] by default). Only consulted when the
+    /// cluster has [`ReplicaRole::PrefillOnly`] replicas.
+    pub migration: std::sync::Arc<dyn MigrationPolicy + Send + Sync>,
+    /// Forces **two-channel DMA** (split H2D/D2H lanes — swap-ins never
+    /// queue behind swap-outs; see [`super::dma`]) even in all-`Unified`
+    /// clusters. Disaggregated clusters always run split lanes; off by
+    /// default otherwise, where both directions share one channel clock
+    /// (the historical single-channel model, preserved bit-identically).
+    pub two_channel_dma: bool,
+    /// **Workflow KV inheritance** (on by default): in paged mode
+    /// ([`kv_block`](Self::kv_block)), a completing workflow node
+    /// registers its KV under a per-(instance, node) prefix key, and
+    /// each child admits with its lowest-index parent's blocks mapped
+    /// copy-on-write as a shared prefix — skipping the re-prefill of
+    /// context the cluster already holds. Cross-replica admissions miss
+    /// and prefill cold (KV does not teleport between replicas). Off,
+    /// every node prefills its full effective prompt from scratch — the
+    /// control arm for measuring the inheritance win. No effect on flat
+    /// (non-workflow) runs or in contiguous mode.
+    pub workflow_inheritance: bool,
+}
+
+impl Default for EngineOptions {
+    fn default() -> Self {
+        EngineOptions {
+            dispatch: DispatchPolicy::FcfsSingleQueue,
+            scheduling: Scheduling::RequestLevel,
+            policy: SchedulerPolicy::default(),
+            host_kv_pool: None,
+            overlap_dma: false,
+            kv_block: 0,
+            core_mode: CoreMode::default(),
+            divergence_depth: None,
+            migration: std::sync::Arc::new(LeastLoadedMigration),
+            two_channel_dma: false,
+            workflow_inheritance: true,
+        }
+    }
+}
+
 /// Builder-style cluster serving engine over [`Backend`] replicas.
 ///
 /// Construct with a [`ServingConfig`], add one or more replicas, pick a
@@ -88,67 +195,28 @@ impl Ord for TimeKey {
 /// device.
 pub struct ServingSim {
     cfg: ServingConfig,
-    dispatch: DispatchPolicy,
-    scheduling: Scheduling,
-    scheduler: SchedulerPolicy,
+    /// The engine knobs. Each builder writes one field; writing a field
+    /// directly changes a knob on a warm engine, keeping its memos.
+    pub options: EngineOptions,
     replicas: Vec<Replica>,
-    /// Host-pool override: `None` defers to each replica's
-    /// [`Backend::host_kv_bytes`]; `Some(None)` forces unbounded;
-    /// `Some(Some(b))` forces a `b`-byte pool on every replica.
-    host_kv_override: Option<Option<u64>>,
-    /// Whether swap DMA overlaps compute (off by default — serialized
-    /// transfers, the historical behavior).
-    overlap_dma: bool,
-    /// Paged-KV block size in tokens; 0 (the default) keeps the legacy
-    /// contiguous accounting.
-    kv_block: u64,
-    /// Which iteration-level core advances the loop (bit-identical
-    /// either way; see [`CoreMode`]).
-    core_mode: CoreMode,
-    /// Divergence-guard override: `None` defers to the context (the
-    /// auto bound during rate probes, off in direct runs);
-    /// `Some(None)` forces the guard off; `Some(Some(d))` aborts a run
-    /// when the arrived-but-unadmitted backlog exceeds `d` requests.
-    divergence: Option<Option<u64>>,
     /// Set while [`sustainable_rate_where`](Self::sustainable_rate_where)
     /// probes rates, enabling the automatic divergence bound.
     probe_divergence: bool,
     /// Per-replica [`ReplicaRole`]s, aligned with `replicas`
     /// (all-`Unified` outside disaggregated runs).
     roles: Vec<ReplicaRole>,
-    /// Destination choice for prefill→decode KV migrations.
-    migration: std::sync::Arc<dyn MigrationPolicy + Send + Sync>,
-    /// Whether swap/migration DMA runs on split H2D/D2H lanes even in
-    /// all-`Unified` clusters (disaggregated runs always split). Off by
-    /// default — the single-channel model every pin was captured on.
-    two_channel: bool,
-    /// Whether workflow children inherit their parent's registered KV
-    /// blocks as a shared prefix in paged mode (on by default; the
-    /// off switch exists so experiments can measure the cold
-    /// re-prefill baseline on the same trace).
-    workflow_inheritance: bool,
 }
 
 impl ServingSim {
-    /// Starts a simulation builder with no replicas, FCFS dispatch,
-    /// request-level scheduling, and the default [`SchedulerPolicy`].
+    /// Starts a simulation builder with no replicas and the default
+    /// [`EngineOptions`].
     pub fn new(cfg: ServingConfig) -> Self {
         ServingSim {
             cfg,
-            dispatch: DispatchPolicy::FcfsSingleQueue,
-            scheduling: Scheduling::RequestLevel,
-            scheduler: SchedulerPolicy::default(),
+            options: EngineOptions::default(),
             replicas: Vec::new(),
-            host_kv_override: None,
-            overlap_dma: false,
-            kv_block: 0,
-            core_mode: CoreMode::default(),
-            divergence: None,
             probe_divergence: false,
             roles: Vec::new(),
-            migration: std::sync::Arc::new(LeastLoadedMigration),
-            two_channel: false,
-            workflow_inheritance: true,
         }
     }
 
@@ -210,205 +278,84 @@ impl ServingSim {
         &self.roles
     }
 
-    /// Installs the [`MigrationPolicy`] choosing which decode replica
-    /// receives each prefill→decode handoff
-    /// ([`LeastLoadedMigration`] by default). Only consulted when the
-    /// cluster has [`ReplicaRole::PrefillOnly`] replicas.
+    /// Sets [`EngineOptions::migration`].
     pub fn migration(mut self, policy: impl MigrationPolicy + Send + Sync + 'static) -> Self {
-        self.migration = std::sync::Arc::new(policy);
+        self.options.migration = std::sync::Arc::new(policy);
         self
     }
 
-    /// In-place form of [`migration`](Self::migration) for warm engines.
-    pub fn set_migration(&mut self, policy: impl MigrationPolicy + Send + Sync + 'static) {
-        self.migration = std::sync::Arc::new(policy);
-    }
-
-    /// Forces **two-channel DMA** (split H2D/D2H lanes — swap-ins never
-    /// queue behind swap-outs; see [`super::dma`]) even in
-    /// all-`Unified` clusters. Disaggregated clusters always run split
-    /// lanes; off by default otherwise, where both directions share one
-    /// channel clock (the historical single-channel model, preserved
-    /// bit-identically).
+    /// Sets [`EngineOptions::two_channel_dma`].
     pub fn two_channel_dma(mut self, split: bool) -> Self {
-        self.two_channel = split;
+        self.options.two_channel_dma = split;
         self
     }
 
-    /// In-place form of [`two_channel_dma`](Self::two_channel_dma) for
-    /// warm engines.
-    pub fn set_two_channel_dma(&mut self, split: bool) {
-        self.two_channel = split;
-    }
-
-    /// Enables (the default) or disables **workflow KV inheritance**:
-    /// in paged mode ([`kv_block`](Self::kv_block)), a completing
-    /// workflow node registers its KV under a per-(instance, node)
-    /// prefix key, and each child admits with its lowest-index
-    /// parent's blocks mapped copy-on-write as a shared prefix —
-    /// skipping the re-prefill of context the cluster already holds.
-    /// Cross-replica admissions miss and prefill cold (KV does not
-    /// teleport between replicas). Off, every node prefills its full
-    /// effective prompt from scratch — the control arm for measuring
-    /// the inheritance win. No effect on flat (non-workflow) runs or
-    /// in contiguous mode.
+    /// Sets [`EngineOptions::workflow_inheritance`].
     pub fn workflow_inheritance(mut self, inherit: bool) -> Self {
-        self.workflow_inheritance = inherit;
+        self.options.workflow_inheritance = inherit;
         self
     }
 
-    /// In-place form of
-    /// [`workflow_inheritance`](Self::workflow_inheritance) for warm
-    /// engines.
-    pub fn set_workflow_inheritance(&mut self, inherit: bool) {
-        self.workflow_inheritance = inherit;
-    }
-
-    /// Sets the dispatch policy (request-level scheduling only).
+    /// Sets [`EngineOptions::dispatch`].
     pub fn dispatch(mut self, policy: DispatchPolicy) -> Self {
-        self.dispatch = policy;
+        self.options.dispatch = policy;
         self
     }
 
-    /// Sets the scheduling granularity (builder style).
+    /// Sets [`EngineOptions::scheduling`].
     pub fn scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.scheduling = scheduling;
+        self.options.scheduling = scheduling;
         self
     }
 
-    /// Changes the scheduling granularity in place, keeping replicas and
-    /// their memos — the cheap way to compare modes on one engine.
-    pub fn set_scheduling(&mut self, scheduling: Scheduling) {
-        self.scheduling = scheduling;
-    }
-
-    /// Installs a [`SchedulerPolicy`] bundle (iteration-level
-    /// scheduling; request-level routing stays with
-    /// [`dispatch`](Self::dispatch)). The default bundle reproduces the
-    /// historical hard-wired scheduler bit-identically.
+    /// Sets [`EngineOptions::policy`].
     pub fn policy(mut self, scheduler: SchedulerPolicy) -> Self {
-        self.scheduler = scheduler;
+        self.options.policy = scheduler;
         self
     }
 
-    /// Swaps the policy bundle in place, keeping replicas and their
-    /// memos — the cheap way to sweep the policy space on one engine
-    /// (the device costs do not depend on the policy).
-    pub fn set_policy(&mut self, scheduler: SchedulerPolicy) {
-        self.scheduler = scheduler;
-    }
-
-    /// The installed policy bundle.
-    pub fn scheduler_policy(&self) -> &SchedulerPolicy {
-        &self.scheduler
-    }
-
-    /// Overrides every replica's host-side KV swap pool: `Some(bytes)`
-    /// forces a finite pool of that size, `None` forces an unbounded
-    /// pool. Without this override each replica uses its backend's own
-    /// [`Backend::host_kv_bytes`]. The pool bounds how much swapped KV
-    /// can live host-side at once; a swap-out that would overflow it
-    /// falls back to recompute-based eviction.
+    /// Sets [`EngineOptions::host_kv_pool`] to `Some(bytes)`:
+    /// `Some(b)` forces a finite `b`-byte pool, `None` an unbounded one.
     pub fn host_kv_pool(mut self, bytes: Option<u64>) -> Self {
-        self.host_kv_override = Some(bytes);
+        self.options.host_kv_pool = Some(bytes);
         self
     }
 
-    /// In-place form of [`host_kv_pool`](Self::host_kv_pool) for warm
-    /// engines.
-    pub fn set_host_kv_pool(&mut self, bytes: Option<u64>) {
-        self.host_kv_override = Some(bytes);
-    }
-
-    /// Enables (or disables) **overlapped swap DMA**: each replica gets
-    /// a DMA-channel clock, swap transfers run on it concurrently with
-    /// compute, and the batch only stalls when it actually needs the
-    /// data or the memory — a swap-out frees device KV at DMA
-    /// *completion* (the iteration waits if it needs those bytes
-    /// sooner) and a swap-in's completion gates the sequence's
-    /// re-entry into the batch while decode continues around it. Off by
-    /// default: transfers serialize with compute on the replica clock,
-    /// the historical behavior.
+    /// Sets [`EngineOptions::overlap_dma`].
     pub fn overlap_dma(mut self, overlap: bool) -> Self {
-        self.overlap_dma = overlap;
+        self.options.overlap_dma = overlap;
         self
     }
 
-    /// In-place form of [`overlap_dma`](Self::overlap_dma) for warm
-    /// engines.
-    pub fn set_overlap_dma(&mut self, overlap: bool) {
-        self.overlap_dma = overlap;
-    }
-
-    /// Switches iteration-level KV accounting to **paged blocks** of
-    /// `tokens` tokens each (0, the default, keeps the legacy
-    /// contiguous accounting, bit-identically). Each replica's block
-    /// budget comes from its backend's
-    /// [`Backend::kv_budget_bytes`](crate::backend::Backend::kv_budget_bytes);
-    /// a backend that reports no budget stays contiguous. Paged mode
-    /// gates admission and pressure on free *blocks*, shares
-    /// full-block prompt prefixes copy-on-write across requests of the
-    /// same class (a [`RequestClass::prefix_tokens`](super::RequestClass)
-    /// above 0 opts the class in), and moves only a sequence's
-    /// *unshared* tokens on swap or recompute.
+    /// Sets [`EngineOptions::kv_block`].
     pub fn kv_block(mut self, tokens: u64) -> Self {
-        self.kv_block = tokens;
+        self.options.kv_block = tokens;
         self
     }
 
-    /// In-place form of [`kv_block`](Self::kv_block) for warm engines.
-    pub fn set_kv_block(&mut self, tokens: u64) {
-        self.kv_block = tokens;
-    }
-
-    /// Selects the iteration-level engine core (builder style). The
-    /// default [`CoreMode::EventDriven`] and the reference
-    /// [`CoreMode::StepScan`] produce bit-identical reports; the knob
-    /// exists for differential testing and benchmarking the cores
-    /// against each other.
+    /// Sets [`EngineOptions::core_mode`].
     pub fn core_mode(mut self, mode: CoreMode) -> Self {
-        self.core_mode = mode;
+        self.options.core_mode = mode;
         self
     }
 
-    /// In-place form of [`core_mode`](Self::core_mode) for warm engines.
-    pub fn set_core_mode(&mut self, mode: CoreMode) {
-        self.core_mode = mode;
-    }
-
-    /// Sets the **divergence guard** (builder style): `Some(d)` aborts
-    /// an iteration-level run once more than `d` arrived requests are
-    /// waiting unadmitted — the run is hopelessly overloaded, and its
-    /// report comes back with [`ServingReport::diverged`] set (never
-    /// [`stable`](ServingReport::stable)) covering only the simulated
-    /// prefix. `None` disables the guard everywhere, including inside
-    /// rate probes.
-    ///
-    /// Without this override, the guard is off in direct
-    /// [`run`](Self::run)s (every configured request completes) and an
-    /// automatic bound — generous enough that any run it stops would
-    /// have failed the stability predicate anyway — protects
-    /// [`sustainable_rate_where`](Self::sustainable_rate_where) probes
-    /// from simulating the full horizon of a diverged queue.
+    /// Sets [`EngineOptions::divergence_depth`] to `Some(depth)`:
+    /// `Some(d)` aborts past a `d`-request backlog, `None` disables the
+    /// guard everywhere.
     pub fn divergence_depth(mut self, depth: Option<u64>) -> Self {
-        self.divergence = Some(depth);
+        self.options.divergence_depth = Some(depth);
         self
-    }
-
-    /// In-place form of [`divergence_depth`](Self::divergence_depth)
-    /// for warm engines.
-    pub fn set_divergence_depth(&mut self, depth: Option<u64>) {
-        self.divergence = Some(depth);
     }
 
     /// A deep copy of this engine — replicas (via
-    /// [`Backend::clone_box`]), their warm service memos, and every
-    /// knob — or `None` if any replica's backend does not support
-    /// cloning. Clones are what [`sweep_rates`](Self::sweep_rates) and
-    /// the parallel [`sustainable_rate_where`](Self::sustainable_rate_where)
-    /// hand to scoped threads; a run on a clone produces exactly the
-    /// report the original would (runs depend only on the config and
-    /// the backends' deterministic costs, never on memo warmth).
+    /// [`Backend::clone_box`]), their warm service memos, and its
+    /// [`options`](Self::options) — or `None` if any replica's backend
+    /// does not support cloning. Clones are what
+    /// [`sweep_rates`](Self::sweep_rates) and the parallel
+    /// [`sustainable_rate_where`](Self::sustainable_rate_where) hand to
+    /// scoped threads; a run on a clone produces exactly the report the
+    /// original would (runs depend only on the config and the backends'
+    /// deterministic costs, never on memo warmth).
     pub fn try_clone(&self) -> Option<ServingSim> {
         let mut replicas = Vec::with_capacity(self.replicas.len());
         for r in &self.replicas {
@@ -416,20 +363,10 @@ impl ServingSim {
         }
         Some(ServingSim {
             cfg: self.cfg.clone(),
-            dispatch: self.dispatch,
-            scheduling: self.scheduling,
-            scheduler: self.scheduler.clone(),
+            options: self.options.clone(),
             replicas,
-            host_kv_override: self.host_kv_override,
-            overlap_dma: self.overlap_dma,
-            kv_block: self.kv_block,
-            core_mode: self.core_mode,
-            divergence: self.divergence,
             probe_divergence: self.probe_divergence,
             roles: self.roles.clone(),
-            migration: self.migration.clone(),
-            two_channel: self.two_channel,
-            workflow_inheritance: self.workflow_inheritance,
         })
     }
 
@@ -541,7 +478,7 @@ impl ServingSim {
                 self.cfg.arrivals.tenant_count(),
             );
         }
-        let stats = match self.scheduling {
+        let stats = match self.options.scheduling {
             Scheduling::RequestLevel => {
                 assert!(
                     self.roles.iter().all(|&ro| ro == ReplicaRole::Unified),
@@ -668,7 +605,7 @@ impl ServingSim {
     /// returned rate is identical (runs are deterministic, and the
     /// bracket arithmetic is reproduced bit-for-bit). Probes also run
     /// under the automatic divergence guard
-    /// ([`divergence_depth`](Self::divergence_depth)): a probe whose
+    /// ([`EngineOptions::divergence_depth`]): a probe whose
     /// backlog diverges is cut short and counted as failing — which it
     /// would, since [`stable`](ServingReport::stable) rejects diverged
     /// reports — instead of simulating the whole horizon of an

@@ -202,8 +202,8 @@ mod report;
 mod tests;
 
 pub use engine::{
-    ArrivalDraw, ArrivalProcess, ArrivalSpec, CoreMode, DiurnalArrivals, MmppArrivals,
-    MultiTenantArrivals, PoissonArrivals, ServingSim, TenantSpec,
+    ArrivalDraw, ArrivalProcess, ArrivalSpec, CoreMode, DiurnalArrivals, EngineOptions,
+    MmppArrivals, MultiTenantArrivals, PoissonArrivals, ServingSim, TenantSpec,
 };
 pub use policy::{
     AdmissionPolicy, EvictionMechanism, EvictionPolicy, MigrationPolicy, ReadmissionPolicy,

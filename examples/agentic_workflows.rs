@@ -39,6 +39,8 @@
 //! against `benches/canonical/BENCH_workflows.json` (wall-clock lines
 //! are stripped by the comparison).
 
+mod common;
+
 use ianus::prelude::*;
 use std::time::Instant;
 
@@ -76,10 +78,7 @@ fn bench_row(experiment: &str, variant: &str, r: &ServingReport, wall_s: f64) ->
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .map(|i| args.get(i + 1).expect("--bench-json needs a PATH").clone());
+    let bench_json = common::bench_json_path(&args);
     let instances = if smoke { 40 } else { 120 };
     let model = ModelConfig::gpt2_xl();
     let mut rows: Vec<String> = Vec::new();
@@ -214,13 +213,11 @@ fn main() {
     );
 
     if let Some(path) = bench_json {
-        let doc = format!(
-            "{{\n  \"benchmark\": \"agentic_workflows\",\n  \"model\": {:?},\n  \
-             \"instances\": {instances},\n  \"smoke\": {smoke},\n  \"results\": [\n{}\n  ]\n}}\n",
-            model.name,
-            rows.join(",\n"),
-        );
-        std::fs::write(&path, doc).expect("write bench json");
-        println!("\nwrote {} result rows to {path}", rows.len());
+        let fields = [
+            ("model", format!("{:?}", model.name)),
+            ("instances", instances.to_string()),
+            ("smoke", smoke.to_string()),
+        ];
+        common::write_bench_json(&path, "agentic_workflows", &fields, &rows);
     }
 }

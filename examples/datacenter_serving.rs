@@ -201,18 +201,19 @@ fn main() {
         ("A100 (eager)", || Box::new(GpuModel::a100())),
     ];
     for (name, make) in factories {
-        let mut probe = ServingSim::new(ServingConfig::long_prompt(1.0, 300)).boxed_replica(make());
-        probe.set_scheduling(Scheduling::iteration(4));
+        let mut probe = ServingSim::new(ServingConfig::long_prompt(1.0, 300))
+            .boxed_replica(make())
+            .scheduling(Scheduling::iteration(4));
         let rate = 0.8 * probe.sustainable_rate(&model, 0.02, 64.0);
         let run = |prefill_chunk| {
-            let mut sim =
-                ServingSim::new(ServingConfig::long_prompt(rate, 300)).boxed_replica(make());
-            sim.set_scheduling(Scheduling::IterationLevel {
-                max_batch: 4,
-                prefill_chunk,
-                preempt: false,
-            });
-            sim.run(&model)
+            ServingSim::new(ServingConfig::long_prompt(rate, 300))
+                .boxed_replica(make())
+                .scheduling(Scheduling::IterationLevel {
+                    max_batch: 4,
+                    prefill_chunk,
+                    preempt: false,
+                })
+                .run(&model)
         };
         let mono = run(None);
         let chunked = run(Some(128));

@@ -48,6 +48,8 @@
 //!
 //! [`device_cost_units`]: ianus::system::capacity::device_cost_units
 
+mod common;
+
 use ianus::prelude::*;
 
 /// 896-token prompts, 128 output tokens, one class carrying the SLO.
@@ -141,10 +143,7 @@ fn bench_row(cluster: &str, ttft_ms: f64, cost: f64, goodput: f64, wall_s: f64) 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .map(|i| args.get(i + 1).expect("--bench-json needs a PATH").clone());
+    let bench_json = common::bench_json_path(&args);
     let requests = if smoke { 120 } else { 400 };
     let hi_rate = if smoke { 28.0 } else { 40.0 };
     let model = ModelConfig::gpt2_xl();
@@ -286,13 +285,11 @@ fn main() {
     );
 
     if let Some(path) = bench_json {
-        let doc = format!(
-            "{{\n  \"benchmark\": \"disaggregated\",\n  \"model\": {:?},\n  \
-             \"requests\": {requests},\n  \"smoke\": {smoke},\n  \"results\": [\n{}\n  ]\n}}\n",
-            model.name,
-            rows.join(",\n"),
-        );
-        std::fs::write(&path, doc).expect("write bench json");
-        println!("\nwrote {} sweep rows to {path}", rows.len());
+        let fields = [
+            ("model", format!("{:?}", model.name)),
+            ("requests", requests.to_string()),
+            ("smoke", smoke.to_string()),
+        ];
+        common::write_bench_json(&path, "disaggregated", &fields, &rows);
     }
 }

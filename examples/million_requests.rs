@@ -23,6 +23,8 @@
 //! 60% of its analytic full-batch capacity — ~80% measured
 //! utilization: loaded, but the queue drains.
 
+mod common;
+
 use ianus::prelude::*;
 
 /// Analytic NPU-PIM serving node: linear prefill, affine batched
@@ -94,11 +96,8 @@ impl Backend for PimNode {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .map(|i| args.get(i + 1).expect("--bench-json needs a PATH").clone())
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
+    let bench_json =
+        common::bench_json_path(&args).unwrap_or_else(|| "BENCH_engine.json".to_string());
 
     let requests: u64 = if smoke { 50_000 } else { 1_000_000 };
     let replicas = 128usize;
@@ -187,13 +186,18 @@ fn main() {
         "engine wall-clock regression: {wall_s:.1} s for {requests} requests (bound {bound} s)"
     );
 
-    let doc = format!(
-        "{{\n  \"benchmark\": \"million_requests\",\n  \"smoke\": {smoke},\n  \
-         \"requests\": {requests},\n  \"replicas\": {replicas},\n  \"max_batch\": {max_batch},\n  \
-         \"arrival_rate_hz\": {rate:.3},\n  \"sim_horizon_s\": {horizon:.3},\n  \
-         \"throughput_rps\": {:.3},\n  \"utilization\": {:.6},\n  \"peak_batch\": {},\n  \
-         \"sojourn_p50_ms\": {:.3},\n  \"sojourn_p99_ms\": {:.3},\n  \
-         \"wall_s\": {wall_s:.6},\n  \"requests_per_wall_s\": {:.1}\n}}\n",
+    let fields = [
+        ("smoke", smoke.to_string()),
+        ("requests", requests.to_string()),
+        ("replicas", replicas.to_string()),
+        ("max_batch", max_batch.to_string()),
+        ("arrival_rate_hz", format!("{rate:.3}")),
+        ("sim_horizon_s", format!("{horizon:.3}")),
+    ];
+    let row = format!(
+        "    {{\"throughput_rps\": {:.3}, \"utilization\": {:.6}, \"peak_batch\": {}, \
+         \"sojourn_p50_ms\": {:.3}, \"sojourn_p99_ms\": {:.3},\n     \
+         \"wall_s\": {wall_s:.6}, \"requests_per_wall_s\": {:.1}}}",
         report.throughput_rps,
         report.utilization,
         report.peak_batch,
@@ -201,6 +205,5 @@ fn main() {
         report.sojourn.p99.as_ms_f64(),
         requests as f64 / wall_s,
     );
-    std::fs::write(&bench_json, doc).expect("write bench json");
-    println!("\nwrote engine trajectory to {bench_json}");
+    common::write_bench_json(&bench_json, "million_requests", &fields, &[row]);
 }

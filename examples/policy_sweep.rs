@@ -46,6 +46,8 @@
 //! sequence completes; the host pool never overflows) — enforced by
 //! the engine and regression-tested in `tests/{policy_api,host_pool}.rs`.
 
+mod common;
+
 use ianus::prelude::*;
 
 /// The PR 3 preemption scenario plus a TTFT/ITL SLO on the interactive
@@ -121,10 +123,7 @@ fn timed_run(sim: &mut ServingSim, model: &ModelConfig) -> (ServingReport, f64) 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .map(|i| args.get(i + 1).expect("--bench-json needs a PATH").clone());
+    let bench_json = common::bench_json_path(&args);
     let requests = if smoke { 40 } else { 120 };
     let model = ModelConfig::gpt2_xl();
     println!(
@@ -163,7 +162,7 @@ fn main() {
     let mut best: Option<(String, f64)> = None;
     let mut rows = Vec::new();
     for eviction in EVICTIONS {
-        sim.set_policy(bundle(eviction));
+        sim.options.policy = bundle(eviction);
         let (r, wall_s) = timed_run(&mut sim, &model);
         rows.push(bench_row(eviction, &r, wall_s));
         assert_eq!(r.completed, requests, "liveness: every request completes");
@@ -204,11 +203,10 @@ fn main() {
 
     // Overlapped DMA on the same finite-pool scenario: the transfers
     // that do happen hide behind decode instead of stalling the batch.
-    sim.set_policy(SchedulerPolicy::default());
+    sim.options.policy = SchedulerPolicy::default();
     let serial = sim.run(&model);
-    sim.set_overlap_dma(true);
+    sim.options.overlap_dma = true;
     let overlapped = sim.run(&model);
-    sim.set_overlap_dma(false);
     println!(
         "\noverlapped DMA (default policy): swap stall {:.2} s -> {:.2} s of {:.2} s DMA",
         serial.swap_stall.as_secs_f64(),
@@ -248,7 +246,7 @@ fn main() {
                 .with_mechanism(EvictionMechanism::Cheapest),
         ),
     ] {
-        sim.set_policy(policy);
+        sim.options.policy = policy;
         let (r, wall_s) = timed_run(&mut sim, &model);
         rows.push(bench_row(&format!("slow-link/{label}"), &r, wall_s));
         assert_eq!(r.completed, requests);
@@ -307,14 +305,12 @@ fn main() {
     }
 
     if let Some(path) = bench_json {
-        let doc = format!(
-            "{{\n  \"benchmark\": \"policy_sweep\",\n  \"model\": {:?},\n  \
-             \"arrival_rate_hz\": 4.0,\n  \"requests\": {requests},\n  \"smoke\": {smoke},\n  \
-             \"results\": [\n{}\n  ]\n}}\n",
-            model.name,
-            rows.join(",\n"),
-        );
-        std::fs::write(&path, doc).expect("write bench json");
-        println!("\nwrote {} sweep rows to {path}", rows.len());
+        let fields = [
+            ("model", format!("{:?}", model.name)),
+            ("arrival_rate_hz", "4.0".to_string()),
+            ("requests", requests.to_string()),
+            ("smoke", smoke.to_string()),
+        ];
+        common::write_bench_json(&path, "policy_sweep", &fields, &rows);
     }
 }

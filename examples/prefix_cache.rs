@@ -57,7 +57,7 @@ fn main() {
 
     let mut frags = Vec::new();
     for kv_block in [0u64, 16, 64, 256] {
-        sim.set_kv_block(kv_block);
+        sim.options.kv_block = kv_block;
         let r = sim.run(&model);
         assert_eq!(r.completed, requests, "liveness: every request completes");
         let label = if kv_block == 0 {

@@ -28,6 +28,8 @@
 //!   definition and must stay near 1 for symmetric tenants; the
 //!   per-tenant completion counts must sum to the run total.
 
+mod common;
+
 use ianus::prelude::*;
 
 /// An interactive two-class mix carrying an ITL-p99 SLO, so burst
@@ -84,10 +86,7 @@ fn bench_row(shape: &str, r: &ServingReport, wall_s: f64) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let bench_json = args
-        .iter()
-        .position(|a| a == "--bench-json")
-        .map(|i| args.get(i + 1).expect("--bench-json needs a PATH").clone());
+    let bench_json = common::bench_json_path(&args);
     let requests = if smoke { 240 } else { 800 };
     // Half of one replica's capacity: the steady state runs with slack
     // (thin batches, short token gaps), so the bursts are what fill
@@ -214,14 +213,12 @@ fn main() {
     );
 
     if let Some(path) = bench_json {
-        let doc = format!(
-            "{{\n  \"benchmark\": \"traffic_shapes\",\n  \"model\": {:?},\n  \
-             \"requests\": {requests},\n  \"mean_rate_hz\": {rate:.1},\n  \
-             \"smoke\": {smoke},\n  \"results\": [\n{}\n  ]\n}}\n",
-            model.name,
-            rows.join(",\n"),
-        );
-        std::fs::write(&path, doc).expect("write bench json");
-        println!("\nwrote {} shape rows to {path}", rows.len());
+        let fields = [
+            ("model", format!("{:?}", model.name)),
+            ("requests", requests.to_string()),
+            ("mean_rate_hz", format!("{rate:.1}")),
+            ("smoke", smoke.to_string()),
+        ];
+        common::write_bench_json(&path, "traffic_shapes", &fields, &rows);
     }
 }

@@ -179,18 +179,51 @@ fn resolve(value: &str, table: &'static [&'static str]) -> Option<&'static str> 
 
 /// [`resolve`], rejecting unknown names at parse time with an error
 /// that lists the valid options for the offending flag.
-fn intern(flag: &str, value: String, table: &'static [&'static str]) -> &'static str {
-    resolve(&value, table).unwrap_or_else(|| {
-        eprintln!(
-            "unknown {flag} value {value:?}; valid options: {}",
+fn intern(
+    flag: &str,
+    value: String,
+    table: &'static [&'static str],
+) -> Result<&'static str, String> {
+    resolve(&value, table).ok_or_else(|| {
+        format!(
+            "{flag}: unknown value {value:?}; valid options: {}",
             table.join(", ")
-        );
-        usage()
+        )
     })
 }
 
-/// Policy flags as parsed names; `SchedulerPolicy` is not `Clone`, so
-/// fresh bundles are built from these on demand.
+/// Parses a numeric flag value.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} needs a number, got {value:?}"))
+}
+
+/// Parses a count flag value, which must be at least 1.
+fn count<T: std::str::FromStr + PartialOrd + Default>(
+    flag: &str,
+    value: String,
+) -> Result<T, String> {
+    let n: T = number(flag, value)?;
+    if n > T::default() {
+        Ok(n)
+    } else {
+        Err(format!("{flag} must be at least 1"))
+    }
+}
+
+/// Parses a real flag value, which must be finite and above `min`.
+fn above(flag: &str, value: String, min: f64) -> Result<f64, String> {
+    let x: f64 = number(flag, value)?;
+    if x.is_finite() && x > min {
+        Ok(x)
+    } else {
+        Err(format!("{flag} must be a finite number above {min}"))
+    }
+}
+
+/// Policy flags as parsed names, kept for the report labels and for
+/// `--compare-policies`, which swaps the eviction policy per run.
 #[derive(Clone, Copy)]
 struct PolicyNames {
     admission: &'static str,
@@ -261,12 +294,9 @@ struct ServeArgs {
     policy: PolicyNames,
     slo: Option<Slo>,
     compare_policies: bool,
-    /// `--host-kv-gb`: `Some(None)` forces an unbounded pool (0),
-    /// `Some(Some(b))` a finite one; `None` keeps the backend default.
-    host_kv: Option<Option<u64>>,
-    overlap_dma: bool,
-    /// `--kv-block`: paged-KV block size in tokens (0 = contiguous).
-    kv_block: u64,
+    /// `--host-kv-gb`, `--overlap-dma` and `--kv-block`; the cluster
+    /// builder fills in scheduling and the policy bundle.
+    options: EngineOptions,
     /// `--disaggregate P:D`: prefill/decode pool sizes (replaces
     /// `--replicas`).
     disaggregate: Option<(usize, usize)>,
@@ -325,7 +355,9 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn parse() -> Args {
+/// Parses the command line (without the program name). An `Err` carries
+/// the message to print above the usage text.
+fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut model = ModelConfig::gpt2_xl();
     let mut input = 128u64;
     let mut output = 64u64;
@@ -349,129 +381,107 @@ fn parse() -> Args {
     let mut slo_ttft_ms = 0u64; // 0 = no target
     let mut slo_itl_ms = 0u64;
     let mut compare_policies = false;
-    let mut host_kv: Option<Option<u64>> = None;
-    let mut overlap_dma = false;
-    let mut kv_block = 0u64; // 0 = contiguous KV accounting
+    let mut options = EngineOptions::default();
     let mut disaggregate: Option<(usize, usize)> = None;
     let mut prefill_system: Option<&'static str> = None;
     let mut migration = "least-loaded";
     let mut arrivals = "poisson";
     let mut burst_factor = 4.0f64;
     let mut tenants = 2u32;
-    let mut args = std::env::args().skip(1);
+    let mut args = argv.into_iter();
     while let Some(flag) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
+        let flag = flag.as_str();
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let invalid = |v: &str| format!("{flag}: unknown value {v:?}");
+        match flag {
             "--serve" => serve = true,
-            "--replicas" => replicas = value().parse().unwrap_or_else(|_| usage()),
-            "--rate" => rate = value().parse().unwrap_or_else(|_| usage()),
-            "--requests" => requests = value().parse().unwrap_or_else(|_| usage()),
-            "--max-batch" => max_batch = value().parse().unwrap_or_else(|_| usage()),
-            "--prefill-chunk" => prefill_chunk = value().parse().unwrap_or_else(|_| usage()),
+            "--replicas" => replicas = count(flag, value()?)?,
+            "--rate" => rate = above(flag, value()?, 0.0)?,
+            "--requests" => requests = number(flag, value()?)?,
+            "--max-batch" => max_batch = count(flag, value()?)?,
+            "--prefill-chunk" => prefill_chunk = number(flag, value()?)?,
             "--preempt" => preempt = true,
-            "--admission" => admission = intern("--admission", value(), &ADMISSIONS),
-            "--eviction" => eviction = intern("--eviction", value(), &EVICTIONS),
-            "--readmission" => readmission = intern("--readmission", value(), &READMISSIONS),
-            "--eviction-mechanism" => {
-                mechanism = intern("--eviction-mechanism", value(), &MECHANISMS)
-            }
+            "--admission" => admission = intern(flag, value()?, &ADMISSIONS)?,
+            "--eviction" => eviction = intern(flag, value()?, &EVICTIONS)?,
+            "--readmission" => readmission = intern(flag, value()?, &READMISSIONS)?,
+            "--eviction-mechanism" => mechanism = intern(flag, value()?, &MECHANISMS)?,
             "--host-kv-gb" => {
-                let gb: u64 = value().parse().unwrap_or_else(|_| usage());
+                let gb: u64 = number(flag, value()?)?;
                 // Checked: `gb << 30` would silently wrap absurd
                 // values (≥ 2^34 GiB) to a tiny or zero pool.
-                let bytes = gb.checked_mul(1 << 30).unwrap_or_else(|| usage());
-                host_kv = Some((gb > 0).then_some(bytes));
+                let bytes = gb
+                    .checked_mul(1 << 30)
+                    .ok_or_else(|| format!("{flag} must be below 2^34"))?;
+                options.host_kv_pool = Some((gb > 0).then_some(bytes));
             }
-            "--overlap-dma" => overlap_dma = true,
-            "--kv-block" => kv_block = value().parse().unwrap_or_else(|_| usage()),
+            "--overlap-dma" => options.overlap_dma = true,
+            "--kv-block" => options.kv_block = number(flag, value()?)?,
             "--disaggregate" => {
-                let v = value();
-                let (p, d) = v.split_once(':').unwrap_or_else(|| usage());
-                let p: usize = p.parse().unwrap_or_else(|_| usage());
-                let d: usize = d.parse().unwrap_or_else(|_| usage());
-                if p == 0 || d == 0 {
-                    usage();
-                }
-                disaggregate = Some((p, d));
+                let v = value()?;
+                let (p, d) = v.split_once(':').ok_or_else(|| invalid(&v))?;
+                disaggregate = Some((count(flag, p.into())?, count(flag, d.into())?));
             }
-            "--prefill-system" => {
-                prefill_system = Some(intern("--prefill-system", value(), &PREFILL_SYSTEMS))
-            }
-            "--migration" => migration = intern("--migration", value(), &MIGRATIONS),
-            "--arrivals" => arrivals = intern("--arrivals", value(), &ARRIVAL_KINDS),
-            "--burst-factor" => {
-                burst_factor = value().parse().unwrap_or_else(|_| usage());
-                if burst_factor <= 1.0 {
-                    eprintln!("--burst-factor must be above 1");
-                    usage()
-                }
-            }
-            "--tenants" => {
-                tenants = value().parse().unwrap_or_else(|_| usage());
-                if tenants == 0 {
-                    eprintln!("--tenants must be at least 1");
-                    usage()
-                }
-            }
-            "--slo-ttft-ms" => slo_ttft_ms = value().parse().unwrap_or_else(|_| usage()),
-            "--slo-itl-ms" => slo_itl_ms = value().parse().unwrap_or_else(|_| usage()),
+            "--prefill-system" => prefill_system = Some(intern(flag, value()?, &PREFILL_SYSTEMS)?),
+            "--migration" => migration = intern(flag, value()?, &MIGRATIONS)?,
+            "--arrivals" => arrivals = intern(flag, value()?, &ARRIVAL_KINDS)?,
+            "--burst-factor" => burst_factor = above(flag, value()?, 1.0)?,
+            "--tenants" => tenants = count(flag, value()?)?,
+            "--slo-ttft-ms" => slo_ttft_ms = number(flag, value()?)?,
+            "--slo-itl-ms" => slo_itl_ms = number(flag, value()?)?,
             "--compare-policies" => compare_policies = true,
             "--mix" => {
                 // Interned against MIXES for the same unknown-value
                 // error the policy flags give.
-                mix = MixKind::by_name(intern("--mix", value(), &MIXES))
+                mix = MixKind::by_name(intern(flag, value()?, &MIXES)?)
                     .expect("MIXES and MixKind::by_name cover the same names");
             }
             "--scheduling" => {
-                iteration = match value().as_str() {
+                iteration = match value()?.as_str() {
                     "request" => false,
                     "iteration" => true,
-                    _ => usage(),
+                    v => return Err(invalid(v)),
                 }
             }
             "--model" => {
-                let name = value();
-                model = ModelConfig::by_name(&name).unwrap_or_else(|| {
-                    eprintln!("unknown model {name:?}");
-                    usage()
-                });
+                let name = value()?;
+                model = ModelConfig::by_name(&name).ok_or_else(|| invalid(&name))?;
             }
-            "--input" => input = value().parse().unwrap_or_else(|_| usage()),
-            "--output" => output = value().parse().unwrap_or_else(|_| usage()),
-            "--devices" => devices = value().parse().unwrap_or_else(|_| usage()),
+            "--input" => input = count(flag, value()?)?,
+            "--output" => output = count(flag, value()?)?,
+            "--devices" => devices = count(flag, value()?)?,
             "--system" => {
-                system = match value().as_str() {
+                system = match value()?.as_str() {
                     "ianus" => SystemConfig::ianus(),
                     "npu-mem" => SystemConfig::npu_mem(),
                     "partitioned" => SystemConfig::partitioned(),
-                    _ => usage(),
+                    v => return Err(invalid(v)),
                 }
             }
             "--fc" => {
-                pas.fc = match value().as_str() {
+                pas.fc = match value()?.as_str() {
                     "adaptive" => FcMapping::Adaptive,
                     "mu" => FcMapping::MatrixUnit,
                     "pim" => FcMapping::Pim,
-                    _ => usage(),
+                    v => return Err(invalid(v)),
                 }
             }
             "--attn" => {
-                pas.attention = match value().as_str() {
+                pas.attention = match value()?.as_str() {
                     "mu" => AttnMapping::MatrixUnit,
                     "pim" => AttnMapping::Pim,
-                    _ => usage(),
+                    v => return Err(invalid(v)),
                 }
             }
             "--schedule" => {
-                pas.schedule = match value().as_str() {
+                pas.schedule = match value()?.as_str() {
                     "overlap" => Schedule::Overlapped,
                     "naive" => Schedule::Naive,
-                    _ => usage(),
+                    v => return Err(invalid(v)),
                 }
             }
             "--compare" => compare = true,
             "--help" | "-h" => usage(),
-            _ => usage(),
+            _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
     let slo = (slo_ttft_ms > 0 || slo_itl_ms > 0).then(|| {
@@ -490,7 +500,7 @@ fn parse() -> Args {
             },
         )
     });
-    Args {
+    Ok(Args {
         model,
         request: RequestShape::new(input, output),
         system: system.with_pas(pas).with_devices(devices),
@@ -520,9 +530,7 @@ fn parse() -> Args {
             },
             slo,
             compare_policies,
-            host_kv,
-            overlap_dma,
-            kv_block,
+            options,
             disaggregate,
             prefill_system,
             migration,
@@ -530,7 +538,7 @@ fn parse() -> Args {
             burst_factor,
             tenants,
         }),
-    }
+    })
 }
 
 /// The configured mix, with any `--slo-*` target attached to its
@@ -605,14 +613,12 @@ fn system_replica(sim: ServingSim, args: &Args, role: ReplicaRole) -> ServingSim
 }
 
 fn build_cluster(args: &Args, serve: &ServeArgs, scheduling: Scheduling) -> ServingSim {
-    let mut sim = ServingSim::new(serving_config(serve, args.request))
-        .scheduling(scheduling)
-        .policy(serve.policy.bundle())
-        .overlap_dma(serve.overlap_dma)
-        .kv_block(serve.kv_block);
-    if let Some(pool) = serve.host_kv {
-        sim = sim.host_kv_pool(pool);
-    }
+    let mut sim = ServingSim::new(serving_config(serve, args.request));
+    sim.options = EngineOptions {
+        scheduling,
+        policy: serve.policy.bundle(),
+        ..serve.options.clone()
+    };
     if let Some((prefill, decode)) = serve.disaggregate {
         for _ in 0..prefill {
             sim = match serve.prefill_system {
@@ -641,7 +647,7 @@ fn build_cluster(args: &Args, serve: &ServeArgs, scheduling: Scheduling) -> Serv
             _ => unreachable!("interned migration name"),
         };
     } else {
-        for _ in 0..serve.replicas.max(1) {
+        for _ in 0..serve.replicas {
             sim = system_replica(sim, args, ReplicaRole::Unified);
         }
     }
@@ -849,12 +855,12 @@ fn compare_policies_main(args: &Args, serve: &ServeArgs) {
     }
     let mut best: Option<(&'static str, f64)> = None;
     for eviction in EVICTIONS {
-        sim.set_policy(bundle_of(
+        sim.options.policy = bundle_of(
             serve.policy.admission,
             eviction,
             serve.policy.readmission,
             serve.policy.mechanism,
-        ));
+        );
         let r = sim.run(&args.model);
         if scored {
             println!(
@@ -946,7 +952,7 @@ fn serve_main(args: &Args, serve: &ServeArgs) {
     } else {
         vec![serve.scheduling]
     };
-    // One engine across all modes: switching with `set_scheduling`
+    // One engine across all modes: writing `options.scheduling`
     // keeps the warm service/prefill/decode memos, so the second mode
     // and the sustainable-rate searches are queueing-only passes.
     let mut sim = build_cluster(args, serve, modes[0]);
@@ -955,7 +961,7 @@ fn serve_main(args: &Args, serve: &ServeArgs) {
         std::process::exit(1);
     }
     for scheduling in modes {
-        sim.set_scheduling(scheduling);
+        sim.options.scheduling = scheduling;
         let report = sim.run(&args.model);
         print_serving_report(&scheduling_label(scheduling), &report, serve.slo.is_some());
         if args.compare {
@@ -977,7 +983,10 @@ fn print_report(label: &str, r: &RunReport) {
 }
 
 fn main() {
-    let args = parse();
+    let args = parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        usage()
+    });
     if let Some(serve) = &args.serve {
         serve_main(&args, serve);
         return;
@@ -1094,6 +1103,90 @@ mod tests {
         assert!(!flat.mix.is_empty());
     }
 
+    fn parse_line(line: &str) -> Result<Args, String> {
+        parse(line.split_whitespace().map(String::from))
+    }
+
+    fn rejected(line: &str) -> String {
+        match parse_line(line) {
+            Ok(_) => panic!("{line:?} must be rejected"),
+            Err(msg) => msg,
+        }
+    }
+
+    /// Values the engine or the config would panic on (or, for
+    /// `--replicas 0`, silently replace) are rejected while parsing,
+    /// naming the offending flag.
+    #[test]
+    fn bad_numeric_values_are_rejected() {
+        for (line, flag) in [
+            ("--devices 0", "--devices"),
+            ("--serve --rate 0", "--rate"),
+            ("--serve --rate -1", "--rate"),
+            ("--serve --rate nan", "--rate"),
+            ("--serve --rate inf", "--rate"),
+            (
+                "--serve --scheduling iteration --max-batch 0",
+                "--max-batch",
+            ),
+            ("--serve --max-batch 0", "--max-batch"),
+            ("--serve --replicas 0", "--replicas"),
+            ("--input 0", "--input"),
+            ("--output 0", "--output"),
+            ("--serve --burst-factor 1", "--burst-factor"),
+            ("--serve --burst-factor nan", "--burst-factor"),
+            ("--serve --tenants 0", "--tenants"),
+            ("--serve --disaggregate 0:2", "--disaggregate"),
+            ("--serve --disaggregate 2", "--disaggregate"),
+            ("--serve --host-kv-gb 17179869184", "--host-kv-gb"),
+            ("--serve --rate four", "--rate"),
+            ("--serve --rate", "--rate"),
+        ] {
+            let msg = rejected(line);
+            assert!(msg.starts_with(flag), "{line:?} gave {msg:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_and_names_are_rejected() {
+        assert!(rejected("--bogus").contains("--bogus"));
+        assert!(rejected("--model nope").contains("nope"));
+        assert!(rejected("--system tpu").contains("tpu"));
+        assert!(rejected("--serve --eviction biggest-kv").contains("largest-kv"));
+    }
+
+    /// The engine flags land in the `EngineOptions` the cluster is
+    /// built from; everything else keeps its default.
+    #[test]
+    fn engine_flags_parse_into_options() {
+        let serve = |line: &str| parse_line(line).ok().and_then(|a| a.serve).expect(line);
+        let defaults = serve("--serve").options;
+        assert_eq!(defaults.host_kv_pool, None);
+        assert!(!defaults.overlap_dma);
+        assert_eq!(defaults.kv_block, 0);
+        let o = serve("--serve --host-kv-gb 2 --overlap-dma --kv-block 64").options;
+        assert_eq!(o.host_kv_pool, Some(Some(2 << 30)));
+        assert!(o.overlap_dma);
+        assert_eq!(o.kv_block, 64);
+        assert_eq!(
+            serve("--serve --host-kv-gb 0").options.host_kv_pool,
+            Some(None)
+        );
+
+        let s = serve("--serve --replicas 3 --rate 2.5 --scheduling iteration --max-batch 4");
+        assert_eq!((s.replicas, s.rate), (3, 2.5));
+        assert_eq!(s.scheduling, Scheduling::iteration(4));
+        let args = parse_line("--serve --model gpt2-m --replicas 2 --kv-block 16").unwrap();
+        let sim = build_cluster(
+            &args,
+            args.serve.as_ref().unwrap(),
+            Scheduling::iteration(4),
+        );
+        assert_eq!(sim.replica_count(), 2);
+        assert_eq!(sim.options.kv_block, 16);
+        assert_eq!(sim.options.scheduling, Scheduling::iteration(4));
+    }
+
     fn test_serve_args(mix: MixKind) -> ServeArgs {
         ServeArgs {
             replicas: 1,
@@ -1111,9 +1204,7 @@ mod tests {
             },
             slo: None,
             compare_policies: false,
-            host_kv: None,
-            overlap_dma: false,
-            kv_block: 0,
+            options: EngineOptions::default(),
             disaggregate: None,
             prefill_system: None,
             migration: "least-loaded",

@@ -132,11 +132,11 @@ pub mod prelude {
     };
     pub use ianus_core::serving::{
         AdmissionPolicy, ArrivalDraw, ArrivalProcess, ArrivalSpec, CoreMode, DisaggregationConfig,
-        DispatchPolicy, DiurnalArrivals, EvictionMechanism, EvictionPolicy, LatencyPercentiles,
-        MigrationPolicy, MmppArrivals, MultiTenantArrivals, PoissonArrivals, Priority,
-        ReadmissionPolicy, ReplicaRole, RequestClass, SchedulerPolicy, Scheduling, ServingConfig,
-        ServingReport, ServingSim, Slo, TenantReport, TenantSpec, WorkflowError, WorkflowNode,
-        WorkflowTemplate,
+        DispatchPolicy, DiurnalArrivals, EngineOptions, EvictionMechanism, EvictionPolicy,
+        LatencyPercentiles, MigrationPolicy, MmppArrivals, MultiTenantArrivals, PoissonArrivals,
+        Priority, ReadmissionPolicy, ReplicaRole, RequestClass, SchedulerPolicy, Scheduling,
+        ServingConfig, ServingReport, ServingSim, Slo, TenantReport, TenantSpec, WorkflowError,
+        WorkflowNode, WorkflowTemplate,
     };
     pub use ianus_core::{
         EnergyModel, IanusSystem, MemoryPolicy, OpClass, RunReport, StageReport, SystemConfig,

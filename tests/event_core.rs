@@ -569,3 +569,101 @@ fn sweep_rates_parallel_matches_serial_under_multi_tenant() {
         assert_eq!(r.per_tenant.len(), 3, "tenant rows survive the sweep");
     }
 }
+
+/// Every engine knob of `o`, one rendered value per field. The
+/// destructuring has no `..`, so a new knob fails to compile here until
+/// the clone-parity test below covers it.
+fn knobs(o: &EngineOptions) -> [String; 11] {
+    let EngineOptions {
+        dispatch,
+        scheduling,
+        policy,
+        host_kv_pool,
+        overlap_dma,
+        kv_block,
+        core_mode,
+        divergence_depth,
+        migration,
+        two_channel_dma,
+        workflow_inheritance,
+    } = o;
+    [
+        format!("{dispatch:?}"),
+        format!("{scheduling:?}"),
+        policy.label(),
+        format!("{host_kv_pool:?}"),
+        overlap_dma.to_string(),
+        kv_block.to_string(),
+        format!("{core_mode:?}"),
+        format!("{divergence_depth:?}"),
+        migration.name().to_string(),
+        two_channel_dma.to_string(),
+        workflow_inheritance.to_string(),
+    ]
+}
+
+/// `try_clone` carries every engine knob: a disaggregated workflow
+/// cluster with each `EngineOptions` field away from its default sweeps
+/// in parallel (on clones) to exactly the reports of fresh serial runs.
+#[test]
+fn sweep_rates_parallel_matches_serial_with_every_option_set() {
+    let model = ModelConfig::gpt2_xl();
+    let rates = [0.5, 2.0, 6.0];
+    let options = || EngineOptions {
+        dispatch: DispatchPolicy::LeastLoaded,
+        scheduling: Scheduling::IterationLevel {
+            max_batch: 6,
+            prefill_chunk: Some(32),
+            preempt: true,
+        },
+        policy: SchedulerPolicy::default()
+            .with_admission(WidestSubtreeAdmission)
+            .with_eviction(LargestKv)
+            .with_mechanism(EvictionMechanism::Cheapest),
+        host_kv_pool: Some(Some(48 << 20)),
+        overlap_dma: true,
+        kv_block: 64,
+        core_mode: CoreMode::StepScan,
+        divergence_depth: Some(Some(1 << 20)),
+        migration: std::sync::Arc::new(FreestKvMigration),
+        two_channel_dma: true,
+        workflow_inheritance: false,
+    };
+    let build = |rate: f64| {
+        let cfg = ServingConfig::workflow_mix(
+            rate,
+            16,
+            vec![
+                WorkflowTemplate::agent_chain(),
+                WorkflowTemplate::tool_fanout(),
+                WorkflowTemplate::speculative(),
+            ],
+        );
+        let mut sim = ServingSim::new(cfg).disaggregated(
+            DisaggregationConfig::by_count(1, 2),
+            |_| MemNode::tight(),
+            |_| MemNode::tight(),
+        );
+        sim.options = options();
+        sim
+    };
+    let mut sim = build(1.0);
+    let clone = sim.try_clone().expect("MemNode clones");
+    assert_eq!(knobs(&clone.options), knobs(&sim.options));
+    for (set, default) in knobs(&sim.options)
+        .iter()
+        .zip(knobs(&EngineOptions::default()))
+    {
+        assert_ne!(*set, default, "every knob is set away from its default");
+    }
+    let parallel = sim.sweep_rates(&model, &rates);
+    let serial: Vec<ServingReport> = rates.iter().map(|&r| build(r).run(&model)).collect();
+    assert_eq!(parallel, serial);
+    assert!(
+        parallel.iter().all(|r| !r.diverged),
+        "the guard never trips"
+    );
+    assert!(parallel
+        .iter()
+        .any(|r| r.migrations > 0 && r.preemptions > 0));
+}

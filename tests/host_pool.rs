@@ -149,13 +149,11 @@ fn cost_aware_beats_largest_kv_on_slow_host_link() {
     let mut sim = ServingSim::new(scenario(Some(slo)))
         .replica(IanusSystem::new(system))
         .scheduling(preemptive());
-    sim.set_policy(SchedulerPolicy::default().with_eviction(LargestKv));
+    sim.options.policy = SchedulerPolicy::default().with_eviction(LargestKv);
     let largest = sim.run(&ModelConfig::gpt2_xl());
-    sim.set_policy(
-        SchedulerPolicy::default()
-            .with_eviction(CheapestEviction)
-            .with_mechanism(EvictionMechanism::Cheapest),
-    );
+    sim.options.policy = SchedulerPolicy::default()
+        .with_eviction(CheapestEviction)
+        .with_mechanism(EvictionMechanism::Cheapest);
     let cheapest = sim.run(&ModelConfig::gpt2_xl());
     assert_eq!(largest.completed, 120);
     assert_eq!(cheapest.completed, 120);
