@@ -17,8 +17,13 @@
 //! The naive schedule (Figure 13's ablation) chains every command of a
 //! core to its predecessor, eliminating all intra-core overlap between
 //! PIM computation and NPU work.
+//!
+//! One compile prices each distinct PIM GEMV shape once, through the
+//! [`PimCostTable`] that the Algorithm 1 planner shares, and compiles
+//! only blocks 0 and 1; later blocks copy block 1 (see
+//! [`Compiler::compile`]).
 
-use crate::adaptive::{AdaptivePlanner, FcUnit};
+use crate::adaptive::{AdaptivePlanner, FcUnit, PimCostTable};
 use crate::energy::Activity;
 use crate::pas::{AttnMapping, FcMapping, Schedule};
 use crate::report::OpClass;
@@ -27,9 +32,8 @@ use ianus_dram::TransferModel;
 use ianus_model::{FcShape, ModelConfig, ModelFamily, Stage};
 use ianus_npu::scheduler::{CmdId, Command, Program};
 use ianus_npu::{DmaEngine, MatrixUnit, VectorUnit, VuOp};
-use ianus_pim::{GemvShape, PimModel, PimOpCost};
+use ianus_pim::GemvShape;
 use ianus_sim::Duration;
-use std::collections::HashMap;
 
 /// A compiled stage: the command program plus its activity counters and
 /// FLOP total.
@@ -66,10 +70,11 @@ pub struct Compiler<'a> {
     mu: MatrixUnit,
     vu: VectorUnit,
     dma: DmaEngine,
-    pim: Option<PimModel>,
+    /// The compiler's only PIM cost memo (`None` without PIM compute);
+    /// the planner prices through it too.
+    pim: Option<PimCostTable>,
     planner: AdaptivePlanner,
     xfer: TransferModel,
-    pim_cache: HashMap<GemvShape, PimOpCost>,
     // --- per-compilation state ---
     prog: Program,
     activity: Activity,
@@ -84,11 +89,6 @@ pub struct Compiler<'a> {
 impl<'a> Compiler<'a> {
     /// Creates a compiler for `model` on `cfg`.
     pub fn new(cfg: &'a SystemConfig, model: &'a ModelConfig) -> Self {
-        let pim = if cfg.pim_channels() > 0 {
-            Some(PimModel::new(cfg.pim_group_config()))
-        } else {
-            None
-        };
         Compiler {
             cfg,
             model,
@@ -96,10 +96,9 @@ impl<'a> Compiler<'a> {
             mu: MatrixUnit::new(&cfg.npu),
             vu: VectorUnit::new(&cfg.npu),
             dma: DmaEngine::new(&cfg.npu),
-            pim,
+            pim: PimCostTable::new(cfg),
             planner: AdaptivePlanner::new(cfg),
             xfer: cfg.transfer_model(),
-            pim_cache: HashMap::new(),
             prog: Program::new(),
             activity: Activity::new(),
             naive_last: Vec::new(),
@@ -123,6 +122,16 @@ impl<'a> Compiler<'a> {
     /// (devices execute symmetric programs; PCIe synchronization commands
     /// represent the inter-device exchanges).
     ///
+    /// Blocks are compiled until one leaves the dependency chains it was
+    /// entered with (the per-core frontier and the naive-schedule chains)
+    /// moved by exactly its own command count — in practice block 1, as
+    /// block 0 is the only block entered with empty chains. Block
+    /// emission is a pure function of the stage and those chains, and
+    /// moving the chains by `d` moves every emitted id by `d`, so each
+    /// later block is that block's command range with every dependency
+    /// moved by a multiple of its length, and is copied instead of
+    /// recompiled. The program is identical to compiling every block.
+    ///
     /// # Panics
     ///
     /// Panics if a generation stage is requested for an encoder-only
@@ -136,16 +145,10 @@ impl<'a> Compiler<'a> {
             );
         }
         self.reset();
-        let cores = self.cfg.npu.cores;
-        let mut frontier: Vec<Option<CmdId>> = vec![None; cores as usize];
-        for block in 0..self.model.blocks {
-            frontier = self.compile_block(stage, frontier);
-            let _ = block;
-        }
+        let frontier = self.compile_blocks(stage);
         if self.model.family == ModelFamily::Gpt {
-            frontier = self.compile_lm_head(stage, frontier);
+            self.compile_lm_head(frontier);
         }
-        let _ = frontier;
         CompiledStage {
             program: std::mem::take(&mut self.prog),
             activity: self.activity,
@@ -230,6 +233,51 @@ impl<'a> Compiler<'a> {
     // ------------------------------------------------------------------
     // Block structure
     // ------------------------------------------------------------------
+
+    /// Compiles every transformer block, copying the blocks after the
+    /// first self-similar one (see [`Compiler::compile`]); returns the
+    /// last block's frontier.
+    fn compile_blocks(&mut self, stage: &Stage) -> Vec<Option<CmdId>> {
+        let blocks = self.model.blocks as usize;
+        let mut frontier = vec![None; self.cfg.npu.cores as usize];
+        for block in 0..blocks {
+            let start = self.prog.len();
+            let entry = [
+                frontier.clone(),
+                self.naive_last.clone(),
+                self.naive_last_pim.clone(),
+            ];
+            let outer = std::mem::take(&mut self.activity);
+            frontier = self.compile_block(stage, frontier);
+            let delta = std::mem::replace(&mut self.activity, outer);
+            self.activity.merge(&delta);
+
+            let len = self.prog.len() - start;
+            let copies = blocks - block - 1;
+            let exit = [&frontier, &self.naive_last, &self.naive_last_pim];
+            let self_similar = entry
+                .iter()
+                .zip(exit)
+                .all(|(entry, exit)| shifted(entry, len) == *exit);
+            if copies == 0 || !self_similar {
+                continue;
+            }
+            let template = self.prog.commands()[start..].to_vec();
+            for k in 1..=copies {
+                for cmd in &template {
+                    let mut cmd = cmd.clone();
+                    cmd.deps.iter_mut().for_each(|d| *d += k * len);
+                    self.prog.push(cmd);
+                }
+                self.activity.merge(&delta);
+            }
+            let end = copies * len;
+            self.naive_last = shifted(&self.naive_last, end);
+            self.naive_last_pim = shifted(&self.naive_last_pim, end);
+            return shifted(&frontier, end);
+        }
+        frontier
+    }
 
     fn compile_block(&mut self, stage: &Stage, frontier: Vec<Option<CmdId>>) -> Vec<Option<CmdId>> {
         let cores = self.cfg.npu.cores;
@@ -340,11 +388,7 @@ impl<'a> Compiler<'a> {
         self.barrier(tokens, after_res2)
     }
 
-    fn compile_lm_head(
-        &mut self,
-        stage: &Stage,
-        frontier: Vec<Option<CmdId>>,
-    ) -> Vec<Option<CmdId>> {
+    fn compile_lm_head(&mut self, frontier: Vec<Option<CmdId>>) {
         let cores = self.cfg.npu.cores;
         let ops = self.model.block_ops();
         let part = self.partitions();
@@ -366,8 +410,7 @@ impl<'a> Compiler<'a> {
             );
             last[c as usize] = Some(fc);
         }
-        let _ = stage;
-        self.barrier(1, last)
+        self.barrier(1, last);
     }
 
     // ------------------------------------------------------------------
@@ -581,7 +624,7 @@ impl<'a> Compiler<'a> {
             FcMapping::MatrixUnit => FcUnit::MatrixUnit,
             FcMapping::Pim if self.pim.is_some() => FcUnit::Pim,
             FcMapping::Pim => FcUnit::MatrixUnit,
-            FcMapping::Adaptive => self.planner.choose(tokens, fc, prefetch),
+            FcMapping::Adaptive => self.planner.choose(tokens, fc, prefetch, self.pim.as_mut()),
         };
         match unit {
             FcUnit::Pim => {
@@ -831,11 +874,11 @@ impl<'a> Compiler<'a> {
     }
 
     fn pim_gemv(&mut self, core: u32, shape: GemvShape, class: OpClass, deps: Vec<CmdId>) -> CmdId {
-        let pim = self.pim.as_ref().expect("pim_gemv without PIM compute");
-        let cost = *self
-            .pim_cache
-            .entry(shape)
-            .or_insert_with(|| pim.gemv(shape));
+        let cost = self
+            .pim
+            .as_mut()
+            .expect("pim_gemv without PIM compute")
+            .cost(shape);
         self.activity.pim_internal_bytes += cost.internal_bytes;
         self.activity.pim_activations += cost.activations;
         self.activity.pim_gb_bytes += cost.gb_bytes;
@@ -888,6 +931,11 @@ impl<'a> Compiler<'a> {
     }
 }
 
+/// `ids` with every command id moved `by` places.
+fn shifted(ids: &[Option<CmdId>], by: usize) -> Vec<Option<CmdId>> {
+    ids.iter().map(|id| id.map(|id| id + by)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,6 +946,108 @@ mod tests {
         let compiled = c.compile(stage);
         let mut engine = Engine::new(c.unit_map().unit_count(), cfg.npu.dispatch_overhead);
         engine.run(&compiled.program).makespan()
+    }
+
+    /// Compiles every block from scratch, then the LM head: the program
+    /// `compile` must reproduce with its block copies.
+    fn compile_without_replay(
+        cfg: &SystemConfig,
+        model: &ModelConfig,
+        stage: &Stage,
+    ) -> (Program, Activity) {
+        let mut c = Compiler::new(cfg, model);
+        c.reset();
+        let mut frontier = vec![None; cfg.npu.cores as usize];
+        for _ in 0..model.blocks {
+            frontier = c.compile_block(stage, frontier);
+        }
+        if model.family == ModelFamily::Gpt {
+            c.compile_lm_head(frontier);
+        }
+        (c.prog, c.activity)
+    }
+
+    #[test]
+    fn block_replay_matches_block_by_block_compilation() {
+        let mut systems = Vec::new();
+        for memory in [
+            SystemConfig::ianus(),
+            SystemConfig::partitioned(),
+            SystemConfig::npu_mem(),
+        ] {
+            let has_pim = memory.pim_channels() > 0;
+            for schedule in [Schedule::Naive, Schedule::Overlapped] {
+                for attention in [AttnMapping::MatrixUnit, AttnMapping::Pim] {
+                    if attention == AttnMapping::Pim && !has_pim {
+                        continue;
+                    }
+                    let pas = crate::pas::PasPolicy {
+                        schedule,
+                        attention,
+                        ..crate::pas::PasPolicy::ianus()
+                    };
+                    let base = memory.with_pas(pas);
+                    systems.extend([
+                        base,
+                        base.with_devices(2),
+                        base.with_devices(4),
+                        base.with_cores(3),
+                    ]);
+                }
+            }
+        }
+        let gpt = ModelConfig::gpt2_m();
+        let bert = ModelConfig::bert_b();
+        let cases = [
+            (&gpt, Stage::Summarization { tokens: 32 }),
+            (&gpt, Stage::Generation { past_tokens: 64 }),
+            (&bert, Stage::Summarization { tokens: 128 }),
+        ];
+        for cfg in &systems {
+            for (model, stage) in &cases {
+                let (program, activity) = compile_without_replay(cfg, model, stage);
+                let compiled = Compiler::new(cfg, model).compile(stage);
+                let context = format!("{} {stage:?} on {:?}", model.name, cfg.pas);
+                assert_eq!(compiled.program.len(), program.len(), "{context}");
+                for (i, (got, want)) in compiled
+                    .program
+                    .commands()
+                    .iter()
+                    .zip(program.commands())
+                    .enumerate()
+                {
+                    assert_eq!(got, want, "command {i} of {context}");
+                }
+                assert!(compiled.program == program, "{context}");
+                assert_eq!(compiled.activity, activity, "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_table_entry_per_distinct_pim_shape() {
+        // GPT-2 XL generation on IANUS: every FC goes to PIM. The planner
+        // asks for each slice un-fused over all rows; emission asks for the
+        // same shapes except FFN1, whose GELU is fused.
+        let cfg = SystemConfig::ianus();
+        let model = ModelConfig::gpt2_xl();
+        let mut c = Compiler::new(&cfg, &model);
+        c.compile(&Stage::Generation { past_tokens: 128 });
+        let ops = model.block_ops();
+        let part = c.partitions();
+        let gemv = |fc: FcShape| GemvShape::new(fc.out_dim, fc.in_dim);
+        let ffn1 = gemv(ops.ffn1_fc().column_slice(part));
+        let distinct: std::collections::HashSet<GemvShape> = [
+            gemv(FcShape::new(ops.embed_dim(), ops.head_dim())),
+            gemv(ops.attn_out_fc().column_slice(part)),
+            ffn1,
+            ffn1.with_gelu(true),
+            gemv(ops.ffn2_fc().column_slice(part)),
+            gemv(ops.lm_head_fc().column_slice(part)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(c.pim.as_ref().unwrap().len(), distinct.len());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub type CmdId = usize;
 pub type UnitId = usize;
 
 /// A schedulable command.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Command {
     /// Unit that executes the command.
     pub unit: UnitId,
@@ -93,7 +93,7 @@ impl Command {
 }
 
 /// A compiler-ordered list of commands.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     commands: Vec<Command>,
 }
